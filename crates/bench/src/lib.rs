@@ -53,3 +53,13 @@ pub use figures::{
 pub use runner::*;
 pub use serve_bench::{run_serve_bench, serve_bench_buckets, ServeBenchCase, ServeBenchConfig, ServeBenchReport};
 pub use tracer::{record_trace, validate_chrome_trace, TraceSummary};
+
+/// Serializes this test binary's kernel-running tests. `obs` is
+/// process-global: a test that resets and snapshots it must not see spans
+/// from a sibling's kernels, so every test here that runs a kernel or reads
+/// `obs` holds this guard (the `crates/serve/tests` convention).
+#[cfg(test)]
+pub(crate) fn guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

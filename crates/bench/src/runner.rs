@@ -819,6 +819,7 @@ mod tests {
 
     #[test]
     fn accuracy_rows_have_paper_error_ordering() {
+        let _g = crate::guard();
         // Γ8 ≈ 1e-7-ish mean relative error, far below the f32 GEMM. A tiny
         // custom sub-table keeps the debug-mode f64 reference fast; the full
         // Table 3 shapes run via `repro table3`.
@@ -853,6 +854,7 @@ mod tests {
 
     #[test]
     fn validate_model_compares_normalised_shares() {
+        let _g = crate::guard();
         use iwino_core::Variant;
         let shape = ConvShape::square(1, 24, 16, 16, 3);
         let rows = validate_stage_model(&shape, GammaSpec::new(8, 6, 3, Variant::Standard), 2);
@@ -871,6 +873,7 @@ mod tests {
 
     #[test]
     fn engine_mode_amortises_the_filter_transform() {
+        let _g = crate::guard();
         let case = &stage_bench_cases()[0];
         let per_call = bench_stage_rates(case, 2, false);
         let engined = bench_stage_rates(case, 2, true);
@@ -895,6 +898,7 @@ mod tests {
 
     #[test]
     fn backend_bench_runs_indirect_plan_cached() {
+        let _g = crate::guard();
         // A strided miniature of the BENCH_pr10 cases: the table is built
         // at warm-up (inside the plan), so no measured rep may re-enter
         // `indirect_setup`, and the kernel column must name the backend.
@@ -920,6 +924,7 @@ mod tests {
 
     #[test]
     fn engine_smoke_covers_every_backend() {
+        let _g = crate::guard();
         let rows = engine_smoke(1).expect("smoke must pass");
         let names: Vec<&str> = rows.iter().map(|r| r.backend).collect();
         assert_eq!(names, iwino_engine::BACKEND_NAMES.to_vec());
@@ -928,6 +933,7 @@ mod tests {
 
     #[test]
     fn histogram_percentages_sum_to_100() {
+        let _g = crate::guard();
         let tiny = AccuracyTable {
             alpha: 16,
             n: 8,

@@ -164,7 +164,7 @@ impl ConvAlgorithm for GemmNhwcBackend {
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
         if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
+            return Err(unsupported(self.name(), "backward-data runs through `im2col-indirect`"));
         }
         expect_dims("filter", w.dims(), s.w_dims())?;
         let wmat = transpose_filter_to_hwio(w);
@@ -240,7 +240,7 @@ impl ConvAlgorithm for GemmNchwBackend {
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
         if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
+            return Err(unsupported(self.name(), "backward-data runs through `im2col-indirect`"));
         }
         expect_dims("filter", w.dims(), s.w_dims())?;
         Ok(Arc::new(GemmNchwPlan {
@@ -275,9 +275,8 @@ impl ConvPlan for GemmNchwPlan {
 
 // ------------------------------------------------------------------ direct
 
-/// Schoolbook convolution: supports everything, fast at nothing. Also the
-/// backward-data fallback for strided shapes (§5.7's "other algorithms
-/// handle the non-unit-stride cases").
+/// Schoolbook convolution: supports everything, fast at nothing. Its deconv
+/// plan is the reference backward-data, reachable by explicit planning.
 pub struct DirectBackend;
 
 struct DirectPlan {
@@ -364,7 +363,7 @@ impl ConvAlgorithm for Winograd2dBackend {
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
         if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
+            return Err(unsupported(self.name(), "backward-data runs through `im2col-indirect`"));
         }
         if !self.supports(s) {
             return Err(unsupported(self.name(), "3×3 unit-stride only (§6.1.1)"));
@@ -426,7 +425,7 @@ impl ConvAlgorithm for FftBackend {
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
         if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
+            return Err(unsupported(self.name(), "backward-data runs through `im2col-indirect`"));
         }
         if !self.supports(s) {
             return Err(ConvError::NonUnitStride {
@@ -472,12 +471,16 @@ impl ConvPlan for FftPlan {
 /// GEMM over the gathered A-panels covers the whole batch. The plan caches
 /// the table next to the pre-packed HWIO filter — both shape-keyed, both
 /// batch-relocatable — and arbitrary stride falls out of the table build,
-/// making this the engine's GEMM-class path for strided shapes.
+/// making this the engine's GEMM-class path for strided shapes. Deconv
+/// plans cache the same table next to the `OC×K` filter and run
+/// backward-data as a GEMM plus a scatter through the table: the engine's
+/// backward-data path for every shape the fused deconv does not take.
 pub struct IndirectBackend;
 
 struct IndirectPlan {
     table: iwino_indirect::IndirectTable,
     w_packed: iwino_gemm::PackedB,
+    deconv: bool,
 }
 
 impl ConvAlgorithm for IndirectBackend {
@@ -497,14 +500,19 @@ impl ConvAlgorithm for IndirectBackend {
     }
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
-        }
         expect_dims("filter", w.dims(), s.w_dims())?;
-        let wmat = transpose_filter_to_hwio(w);
+        let k = s.fh * s.fw * s.ic;
+        // Forward multiplies by the HWIO `K×OC` filter; backward-data by its
+        // transpose, which is the native OHWI filter read as row-major `OC×K`.
+        let w_packed = if deconv {
+            iwino_gemm::PackedB::pack(s.oc, k, w.as_slice())
+        } else {
+            iwino_gemm::PackedB::pack(k, s.oc, transpose_filter_to_hwio(w).as_slice())
+        };
         Ok(Arc::new(IndirectPlan {
             table: iwino_indirect::IndirectTable::build(s),
-            w_packed: iwino_gemm::PackedB::pack(s.fh * s.fw * s.ic, s.oc, wmat.as_slice()),
+            w_packed,
+            deconv,
         }))
     }
 }
@@ -524,6 +532,12 @@ impl ConvPlan for IndirectPlan {
 
     fn run(&self, x: &Tensor4<f32>, epilogue: &Epilogue, arena: &WorkspacePool) -> Result<Tensor4<f32>, ConvError> {
         let s = self.table.shape();
+        if self.deconv {
+            expect_dims("dy", x.dims(), s.y_dims())?;
+            let mut dx = iwino_indirect::backward_data_packed(x, &self.w_packed, &self.table, arena);
+            epilogue.apply(dx.as_mut_slice(), s.ic);
+            return Ok(dx);
+        }
         expect_dims("input", x.dims(), s.x_dims())?;
         let mut y = iwino_indirect::indirect_conv_nhwc_packed(x, &self.w_packed, &self.table, arena);
         epilogue.apply(y.as_mut_slice(), s.oc);

@@ -65,7 +65,8 @@ pub trait ConvAlgorithm: Send + Sync {
     /// Build a plan for `shape` around filter `w` (`OC×FH×FW×IC`). With
     /// `deconv`, the plan computes backward-data: its input is `dy` and its
     /// output `dx`. Backends without a deconv path return
-    /// [`ConvError::Unsupported`]; the engine reroutes those to `direct`.
+    /// [`ConvError::Unsupported`]; [`Engine::backward_data`] routes those
+    /// shapes to `im2col-indirect`.
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError>;
 }
 
@@ -350,9 +351,12 @@ impl Engine {
         plan.run(x, epilogue, &self.arena)
     }
 
-    /// Backward-data through a handle's policy. Shapes the fused deconv can
-    /// run (unit stride) use it; everything else — and every backend with
-    /// no deconv path — falls back to `direct` (§5.7).
+    /// Backward-data through a handle's policy. Shapes whose forward
+    /// resolves to the fused kernels (unit stride) run the fused-rotation
+    /// deconv; everything else — strided shapes, the deep-K GEMM corner,
+    /// forced non-Winograd policies — runs `im2col-indirect`'s GEMM and
+    /// table scatter (§5.7: "other algorithms handle the non-unit-stride
+    /// cases").
     pub fn backward_data(
         &self,
         h: &Handle,
@@ -364,7 +368,7 @@ impl Engine {
         let algo = if forward.name() == "im2col-winograd" && forward.supports(s) {
             forward
         } else {
-            self.algorithm("direct")?
+            self.algorithm("im2col-indirect")?
         };
         let plan = self.plan(&algo, w, s, h.filter_id(), true)?;
         let _run = obs::span(obs::Stage::EngineRun);
@@ -528,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn strided_backward_data_falls_back_to_direct() {
+    fn strided_backward_data_runs_through_indirect() {
         let eng = Engine::new();
         let h = Handle::default();
         let s = ConvShape {
@@ -540,6 +544,15 @@ mod tests {
         let dy = Tensor4::<f32>::random(s.y_dims(), 3, -1.0, 1.0);
         let dx = eng.backward_data(&h, &dy, &w, &s).unwrap();
         assert_eq!(dx.dims(), s.x_dims());
+        // The only plan built is the indirect backend's deconv plan.
+        let indirect = eng.algorithm("im2col-indirect").unwrap();
+        let before = eng.stats().plan_misses;
+        eng.plan(&indirect, &w, &s, h.filter_id(), true).unwrap();
+        assert_eq!(
+            eng.stats().plan_misses,
+            before,
+            "backward-data must have cached the indirect deconv plan"
+        );
         // Adjoint identity ⟨conv(x), dy⟩ = ⟨x, dx⟩ pins correctness.
         let y = iwino_baselines::direct_conv(&x, &w, &s);
         let lhs: f64 = y

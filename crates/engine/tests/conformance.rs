@@ -99,11 +99,66 @@ fn fused_epilogue_matches_post_applied_reference() {
 fn deconv_through_engine_matches_direct_backward() {
     let eng = Engine::new();
     let h = iwino_engine::Handle::default();
-    let s = ConvShape::square(1, 9, 4, 3, 3);
-    let w = Tensor4::<f32>::random(s.w_dims(), 31, -1.0, 1.0);
-    let dy = Tensor4::<f32>::random(s.y_dims(), 32, -1.0, 1.0);
-    let dx = eng.backward_data(&h, &dy, &w, &s).unwrap();
-    let want = iwino_baselines::direct_backward_data(&dy, &w, &s);
-    let err = iwino_tensor::max_mixed_error(&dx, &want);
-    assert!(err < 1e-3, "{err}");
+    for (si, s) in [
+        // Unit stride: the fused-rotation deconv.
+        ConvShape::square(1, 9, 4, 3, 3),
+        // Strided 3×3, symmetric and asymmetric: indirect GEMM + scatter.
+        ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(2, 11, 5, 6, 3)
+        },
+        ConvShape {
+            sh: 2,
+            sw: 3,
+            ..ConvShape::square(1, 12, 7, 4, 3)
+        },
+        // ResNet downsample projection: 1×1, stride 2, no padding.
+        ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(2, 10, 8, 16, 1)
+        },
+        // Deep-K corner (IC ≥ 256, 3×3): the heuristic's GEMM route.
+        ConvShape::square(1, 5, 256, 8, 3),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let w = Tensor4::<f32>::random(s.w_dims(), 31 + si as u64, -1.0, 1.0);
+        let dy = Tensor4::<f32>::random(s.y_dims(), 41 + si as u64, -1.0, 1.0);
+        let dx = eng.backward_data(&h, &dy, &w, s).unwrap();
+        let want = iwino_baselines::direct_backward_data(&dy, &w, s);
+        let err = iwino_tensor::max_mixed_error(&dx, &want);
+        assert!(err < 1e-3, "{s:?}: {err}");
+    }
+}
+
+#[test]
+fn indirect_backward_data_is_bitwise_lane_count_independent() {
+    // The dCol GEMM splits into row blocks across lanes and the scatter
+    // runs in a fixed (image, pixel, tap) order: the result must not depend
+    // on how many lanes ran it. Inside a pool task every nested
+    // parallel_for runs serially, which is the 1-lane run.
+    let eng = Engine::new();
+    let h = iwino_engine::Handle::default();
+    let s = ConvShape {
+        sh: 2,
+        sw: 2,
+        ..ConvShape::square(4, 14, 12, 20, 3)
+    };
+    let w = Tensor4::<f32>::random(s.w_dims(), 51, -1.0, 1.0);
+    let dy = Tensor4::<f32>::random(s.y_dims(), 52, -1.0, 1.0);
+    let pooled = eng.backward_data(&h, &dy, &w, &s).unwrap();
+    let serial = std::sync::Mutex::new(None);
+    iwino_parallel::ThreadPool::new(2).run(2, &|i| {
+        if i == 0 {
+            assert!(iwino_parallel::in_worker());
+            *serial.lock().unwrap() = Some(eng.backward_data(&h, &dy, &w, &s).unwrap());
+        }
+    });
+    let serial = serial.into_inner().unwrap().unwrap();
+    for (i, (a, b)) in pooled.as_slice().iter().zip(serial.as_slice()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "idx {i}: {a:?} (pool) vs {b:?} (1 lane)");
+    }
 }

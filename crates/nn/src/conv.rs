@@ -6,11 +6,13 @@
 //! * [`Backend::ImcolWinograd`] — the engine's §5.7 heuristic: unit-stride
 //!   convolutions run the paper's fused kernels, the backward-data pass the
 //!   fused-rotation deconvolution, and non-unit-stride shapes fall back to
-//!   the indirect-convolution GEMM (`im2col-indirect`) — "Im2col-Winograd
-//!   is employed for unit-stride convolution and deconvolution, while
-//!   other algorithms handle the non-unit-stride cases".
+//!   the indirect-convolution GEMM (`im2col-indirect`) in both directions —
+//!   "Im2col-Winograd is employed for unit-stride convolution and
+//!   deconvolution, while other algorithms handle the non-unit-stride
+//!   cases".
 //! * [`Backend::Gemm`] — forces the `im2col-gemm-nhwc` registry backend:
-//!   the "PyTorch" control arm of Experiment 3.
+//!   the "PyTorch" control arm of Experiment 3. Its backward-data runs
+//!   through `im2col-indirect`.
 //!
 //! Because plans are cached per `(shape, filter-epoch)` in the engine,
 //! repeated same-shape forwards (the serving scenario) reuse the
@@ -19,7 +21,8 @@
 //! mutation path the optimisers use.
 //!
 //! The backward-filter pass is `iwino_core::filter_grad` for both backends
-//! (the paper does not Winograd this pass either).
+//! (the paper does not Winograd this pass either): one packed GEMM over the
+//! forward pass's indirection table.
 
 use crate::init::kaiming_uniform;
 use crate::layer::{Layer, Param};
@@ -221,7 +224,8 @@ impl Layer for Conv2d {
             }
         }
         // dX: the engine routes unit-stride winograd-selected shapes through
-        // the fused deconvolution and everything else through direct.
+        // the fused deconvolution and everything else through the indirect
+        // GEMM + table scatter.
         self.ensure_weight_tensor();
         let w = self.weight_t.as_ref().unwrap();
         Engine::global()

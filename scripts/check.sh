@@ -29,6 +29,15 @@ echo "== cargo test -q (workspace, forced-scalar dispatch) =="
 # vacuously green on SIMD hosts.
 IWINO_FORCE_SCALAR=1 cargo test --offline --workspace -q
 
+echo "== benchmark self-tests (perfbench, built against HEAD) =="
+# perfbench is a stand-alone package (own lockfile, empty [workspace]) that
+# drives nn / engine / serve and replays filter_grad, Engine::backward_data,
+# Engine::plan, IndirectTable::build, PackedB::pack and sgemm_prepacked. The
+# workspace passes above never compile it, so an API break would otherwise
+# surface only when the benchmark runs; its tiny-size self-tests also check
+# that every workload still passes its output checks.
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "== property tests (fixed PROPTEST_CASES budget) =="
 # The Γ conformance net honours PROPTEST_CASES (vendored/proptest); pin an
 # explicit budget above the 32-case default so the remainder-lane sweep is
