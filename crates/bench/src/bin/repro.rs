@@ -92,6 +92,7 @@ fn main() {
         "serve-bench" => serve_bench_cmd(&args),
         "trace" => trace_cmd(&args),
         "engine" => engine(&mode),
+        "frontier" => frontier_cmd(&args),
         "train-cifar" => train_cifar(&mode),
         "train-imagenet" => train_imagenet(&mode),
         "ablation-banks" => ablation_banks(),
@@ -117,7 +118,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: repro <fig8|fig9|table2|table3|fig10|validate-model|bench-stages|bench-compare|serve-bench|\
-                 trace|engine|train-cifar|train-imagenet|ablation-banks|ablation-boundary|ablation-variants|\
+                 trace|engine|frontier|train-cifar|train-imagenet|ablation-banks|ablation-boundary|ablation-variants|\
                  ablation-transforms|all> \
                  [--full] [--sim-only] [--engine] [--force-scalar] [--metrics <path.json>] [--out <path.json>] \
                  [--baseline <path.json>] [--force]\n\
@@ -125,7 +126,8 @@ fn main() {
                  \n  repro trace [<case-label>] [--out trace.json] [--reps N]   flight-recorder capture\
                  \n  repro bench-compare <baseline.json> <after.json> [--max-regression <pct>] [--force]\
                  \n  repro serve-bench [--out serve.json] [--requests N] [--rate R] [--max-batch B] \
-                 [--workers W] [--no-coalesce]   open-loop serving load generator"
+                 [--workers W] [--no-coalesce]   open-loop serving load generator\
+                 \n  repro frontier [--quick] [--out frontier.json]   process-CPU backend frontier"
             );
             if cmd != "help" {
                 std::process::exit(2);
@@ -752,6 +754,66 @@ fn trace_cmd(args: &[String]) {
         println!("(dropped events mean the per-thread ring filled; the recorder never overwrites)");
     }
     iwino_obs::reset_trace();
+}
+
+// ---------------------------------------------------------------------------
+// Backend frontier: the measurement behind the engine's Heuristic policy
+// ---------------------------------------------------------------------------
+
+fn frontier_cmd(args: &[String]) {
+    let quick = args.iter().any(|a| a == "--quick");
+    let out = flag_value(args, "--out").unwrap_or("repro_results/frontier.json");
+    println!("\n==== frontier: process-CPU ms per call, Γ / im2col-gemm-nhwc / im2col-indirect ====");
+    println!("(plan-cached, interleaved, median per backend; `*` marks the heuristic's pick,");
+    println!(" regret = pick / winner - 1; `-` = backend does not support the shape)");
+    println!(
+        "{:<22} {:>28} {:>10} {:>7}   {:>28} {:>10} {:>7}",
+        "shape", "all lanes: Γ/gemm/indirect", "winner", "regret", "one lane: Γ/gemm/indirect", "winner", "regret"
+    );
+    let short = |b: &'static str| match b {
+        "im2col-winograd" => "Γ",
+        "im2col-gemm-nhwc" => "gemm",
+        "im2col-indirect" => "indirect",
+        other => other,
+    };
+    let cells = |t: &iwino_bench::LaneTiming, pick: &str| {
+        iwino_bench::FRONTIER_BACKENDS
+            .iter()
+            .zip(t.ms)
+            .map(|(&b, ms)| match ms {
+                Some(ms) => format!("{ms:.3}{}", if b == pick { "*" } else { "" }),
+                None => "-".to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(" / ")
+    };
+    let report = iwino_bench::run_frontier(quick, |row| {
+        println!(
+            "{:<22} {:>28} {:>10} {:>6.0}%   {:>28} {:>10} {:>6.0}%",
+            row.label,
+            cells(&row.all_lanes, row.pick),
+            short(row.all_lanes.winner),
+            row.all_lanes.regret * 100.0,
+            cells(&row.one_lane, row.pick),
+            short(row.one_lane.winner),
+            row.one_lane.regret * 100.0
+        );
+    });
+    println!(
+        "heuristic regret over the sweep ({} clock, {} pool lanes, {} rounds): {:.1}% all lanes, {:.1}% one lane",
+        report.clock,
+        report.lanes,
+        report.reps,
+        report.regret_frac(false) * 100.0,
+        report.regret_frac(true) * 100.0
+    );
+    match fs::write(out, report.to_json().pretty()) {
+        Ok(()) => println!("[saved {out}]"),
+        Err(e) => {
+            eprintln!("error: cannot write {out}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@
 //!                                 [--no-coalesce]  open-loop serving load generator; emits a
 //!                                 bench-compare-gatable throughput/latency document
 //!                                 (the BENCH_serve_* pair)
+//! repro frontier [--quick] [--out p]  process-CPU frontier of Γ / im2col-gemm-nhwc / im2col-indirect
+//!                                 over an r × OW × IC grid and the ResNet-18 / VGG16x7 layers, all
+//!                                 pool lanes and one lane: winner, heuristic pick and regret per shape
 //! repro engine                    registry smoke: every backend vs the f64 reference + cache stats
 //! repro all [--quick]             everything above
 //! ```
@@ -41,6 +44,7 @@
 
 pub mod compare;
 pub mod figures;
+pub mod frontier;
 pub mod runner;
 pub mod serve_bench;
 pub mod tracer;
@@ -50,6 +54,7 @@ pub use figures::{
     gemm_bench_cases, indirect_bench_cases, scale_batch, stage_bench_cases, AccuracyTable, GemmBenchCase, Ofms, Panel,
     StageBenchCase, FIG8, FIG9, TABLE3,
 };
+pub use frontier::{run_frontier, FrontierReport, FrontierRow, LaneTiming, FRONTIER_BACKENDS};
 pub use runner::*;
 pub use serve_bench::{run_serve_bench, serve_bench_buckets, ServeBenchCase, ServeBenchConfig, ServeBenchReport};
 pub use tracer::{record_trace, validate_chrome_trace, TraceSummary};

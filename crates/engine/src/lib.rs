@@ -17,9 +17,12 @@
 //!   same-shape forwards stop re-transforming filters (the serving hot
 //!   path), and an arena-backed [`WorkspacePool`] so GEMM-class scratch
 //!   stops hitting the allocator per row.
-//! * [`SelectionPolicy`] — §5.7's heuristic by default (unit stride → Γ,
-//!   otherwise GEMM), an optional measure-once autotune that times every
-//!   eligible backend on first sight of a shape and pins the winner, and
+//! * [`SelectionPolicy`] — §5.7's heuristic by default (Γ for the
+//!   unit-stride shapes it runs over at most 64 input channels, or wider
+//!   r ≥ 5 ones on rows of at least 32 outputs; the indirect-convolution
+//!   GEMM for everything else), an optional measure-once autotune that
+//!   times every eligible backend on first sight of a shape and pins the
+//!   winner, and
 //!   `Force` for driving a specific backend by registry name.
 //! * [`Handle`] — per-layer identity: owns the filter-id whose epoch is
 //!   bumped on weight mutation, which invalidates cached plans without any
@@ -48,6 +51,14 @@ use std::time::Instant;
 /// cost is its filter bank (`FH×α×IC×OC` floats), so the bound also bounds
 /// resident bytes for a fixed model.
 const PLAN_CACHE_BOUND: usize = 64;
+
+/// Input channels up to which the heuristic keeps a unit-stride layer on
+/// fused Winograd; see [`Engine::heuristic_choice`].
+const GAMMA_MAX_IC: usize = 64;
+
+/// Output width from which a wider-than-`GAMMA_MAX_IC` layer with an
+/// r ≥ 5 filter stays on fused Winograd; see [`Engine::heuristic_choice`].
+const GAMMA_WIDE_MIN_OW: usize = 32;
 
 /// A convolution algorithm the engine can dispatch to.
 pub trait ConvAlgorithm: Send + Sync {
@@ -91,8 +102,11 @@ pub trait ConvPlan: Send + Sync {
 /// How a [`Handle`] picks its backend.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum SelectionPolicy {
-    /// §5.7: unit-stride shapes the fused kernels can run → Im2col-Winograd;
-    /// everything else → im2col+GEMM (NHWC).
+    /// §5.7, re-derived from the measured frontier: unit-stride shapes the
+    /// fused kernels can run over at most 64 input channels (or wider
+    /// r ≥ 5 ones on rows of at least 32 outputs) → Im2col-Winograd;
+    /// everything else → the indirect-convolution GEMM (see
+    /// [`Engine::heuristic_choice`]).
     #[default]
     Heuristic,
     /// Time every eligible backend on first sight of a shape, pin the
@@ -228,23 +242,25 @@ impl Engine {
         &self.arena
     }
 
-    /// §5.7 heuristic, thresholds re-derived against the packed SGEMM:
-    /// fused Winograd wherever it applies — except the deep-K corner
-    /// (3×3-and-smaller filters over ≥ 256 input channels), where the
-    /// packed im2col GEMM's panel reuse beats short Γ tiles on the
-    /// measured frontier (EXPERIMENTS.md, "who wins where"). Everything
-    /// the fused path cannot run — strided shapes (small OW), filters
-    /// outside the Γ planner's 2..=15 width range (large r) — goes to
-    /// `im2col-indirect`: its one batch-wide GEMM amortises the packed-B
-    /// panel streaming that the row-at-a-time im2col fallback re-pays
-    /// `N·OH` times, and its indirection table handles arbitrary stride
-    /// (EXPERIMENTS.md, indirect-vs-im2col frontier).
+    /// §5.7 heuristic, re-derived from the process-CPU frontier `repro
+    /// frontier` measures (EXPERIMENTS.md, "Who wins where"). Fused
+    /// Winograd runs every unit-stride shape it supports over at most
+    /// `GAMMA_MAX_IC` (64) input channels. Wider layers go to
+    /// `im2col-indirect`: Γ's row kernel streams the whole transformed
+    /// filter (`α·FH·IC·OC`) once per output row and reuses each panel pass
+    /// over only `⌈OW/n⌉` tiles, while indirect runs one batch-wide packed
+    /// GEMM. Only r ≥ 5 filters over rows of at least
+    /// `GAMMA_WIDE_MIN_OW` (32) outputs amortise that pass well enough to keep
+    /// Γ. Everything the fused path cannot run — strided shapes, filters
+    /// outside the Γ planner's 2..=15 width range — also goes to
+    /// `im2col-indirect`, whose indirection table handles any stride.
     pub fn heuristic_choice(&self, s: &ConvShape) -> &'static str {
         if !self.registry[0].supports(s) {
             return "im2col-indirect";
         }
-        if s.ic >= 256 && s.fh <= 3 && s.fw <= 3 {
-            return "im2col-gemm-nhwc";
+        let small_filter = s.fh <= 3 && s.fw <= 3;
+        if s.ic > GAMMA_MAX_IC && (small_filter || s.ow() < GAMMA_WIDE_MIN_OW) {
+            return "im2col-indirect";
         }
         self.registry[0].name() // "im2col-winograd"
     }
@@ -353,7 +369,7 @@ impl Engine {
 
     /// Backward-data through a handle's policy. Shapes whose forward
     /// resolves to the fused kernels (unit stride) run the fused-rotation
-    /// deconv; everything else — strided shapes, the deep-K GEMM corner,
+    /// deconv; everything else — strided shapes, wide-channel shapes,
     /// forced non-Winograd policies — runs `im2col-indirect`'s GEMM and
     /// table scatter (§5.7: "other algorithms handle the non-unit-stride
     /// cases").

@@ -21,30 +21,50 @@ fn heuristic_picks_winograd_for_unit_stride_r2_to_9() {
 }
 
 #[test]
-fn heuristic_picks_gemm_for_deep_k_small_filters() {
-    // Re-derived frontier (packed SGEMM): 3×3-and-smaller filters over
-    // ≥ 256 input channels run faster through the packed im2col GEMM than
-    // through short Γ tiles — measured on 12×12×512, 14×14×256, 7×7×512.
+fn heuristic_sends_wide_layers_to_indirect() {
+    // Re-derived from the process-CPU frontier (`repro frontier`): above 64
+    // input channels, `im2col-indirect`'s one batch-wide packed GEMM beats
+    // Γ's once-per-row filter-panel pass for 3×3 filters at every width,
+    // and for r ≥ 5 filters on rows shorter than 32 outputs — the deep-K
+    // 12×12×512, 14×14×256 and 7×7×512 shapes included.
     let eng = Engine::new();
-    for (hw, c) in [(12usize, 512usize), (14, 256), (7, 512)] {
-        let s = ConvShape::square(1, hw, c, c, 3);
+    for (hw, c, r) in [
+        (12usize, 512usize, 3usize),
+        (14, 256, 3),
+        (7, 512, 3),
+        (28, 128, 3),
+        (56, 96, 3),
+        (16, 65, 3),
+        (16, 256, 5),
+        (16, 128, 7),
+        (8, 96, 5),
+    ] {
+        let s = ConvShape::square(1, hw, c, c, r);
         assert!(s.is_unit_stride());
         assert_eq!(
             eng.heuristic_choice(&s),
-            "im2col-gemm-nhwc",
-            "{hw}x{hw}x{c} r=3 sits on the GEMM side of the measured frontier"
+            "im2col-indirect",
+            "{hw}x{hw}x{c} r={r} sits on the indirect side of the measured frontier"
         );
     }
-    // The boundary respects both axes: wider filters or fewer channels
-    // stay fused.
-    assert_eq!(
-        eng.heuristic_choice(&ConvShape::square(1, 16, 256, 256, 5)),
-        "im2col-winograd"
-    );
-    assert_eq!(
-        eng.heuristic_choice(&ConvShape::square(1, 28, 128, 128, 3)),
-        "im2col-winograd"
-    );
+    // The other side of each axis stays fused: at most 64 input channels
+    // (any filter, any width — including the small-IC stem-like shapes
+    // where Γ measures slower), or r ≥ 5 on rows of at least 32 outputs.
+    for (hw, ic, oc, r) in [
+        (16usize, 64usize, 64usize, 3usize),
+        (56, 64, 64, 3),
+        (64, 3, 32, 7),
+        (32, 3, 32, 3),
+        (32, 128, 128, 5),
+        (32, 128, 128, 7),
+        (56, 256, 256, 5),
+    ] {
+        assert_eq!(
+            eng.heuristic_choice(&ConvShape::square(1, hw, ic, oc, r)),
+            "im2col-winograd",
+            "{hw}x{hw}x{ic}->{oc} r={r} stays on the Γ side"
+        );
+    }
 }
 
 #[test]
@@ -69,9 +89,9 @@ fn heuristic_picks_indirect_for_strides_at_least_2() {
 }
 
 #[test]
-fn heuristic_frontier_between_indirect_and_im2col_gemm() {
-    // ISSUE-10 satellite: pin both sides of the indirect-vs-im2col
-    // frontier the heuristic encodes.
+fn heuristic_frontier_between_gamma_and_indirect() {
+    // Pin the region Γ cannot run, and that no shape defaults to the
+    // materialising im2col GEMM.
     let eng = Engine::new();
     // Strided ⇒ small OW: indirect wins (BENCH_pr10 pair).
     let strided = ConvShape {
@@ -84,11 +104,19 @@ fn heuristic_frontier_between_indirect_and_im2col_gemm() {
     let large_r = ConvShape::square(1, 20, 4, 4, 16);
     assert!(!large_r.is_unit_stride() || large_r.fw > 15);
     assert_eq!(eng.heuristic_choice(&large_r), "im2col-indirect");
-    // Deep-K r=3 unit stride stays on the materialising im2col GEMM.
-    assert_eq!(
-        eng.heuristic_choice(&ConvShape::square(1, 12, 512, 512, 3)),
-        "im2col-gemm-nhwc"
-    );
+    for r in [1, 2, 3, 5, 7, 9] {
+        for hw in [4, 8, 16, 32, 56] {
+            for c in [3, 16, 64, 65, 128, 256, 512] {
+                let s = ConvShape::square(1, hw, c, c, r);
+                let pick = eng.heuristic_choice(&s);
+                assert!(
+                    ["im2col-winograd", "im2col-indirect"].contains(&pick),
+                    "{hw}x{hw}x{c} r={r}: {pick}"
+                );
+                assert!(eng.algorithm(pick).unwrap().supports(&s));
+            }
+        }
+    }
 }
 
 #[test]

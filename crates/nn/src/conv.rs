@@ -3,13 +3,14 @@
 //! The layer holds an [`iwino_engine::Handle`] whose selection policy maps
 //! from the historical [`Backend`] enum (kept as a thin constructor alias):
 //!
-//! * [`Backend::ImcolWinograd`] — the engine's §5.7 heuristic: unit-stride
-//!   convolutions run the paper's fused kernels, the backward-data pass the
-//!   fused-rotation deconvolution, and non-unit-stride shapes fall back to
-//!   the indirect-convolution GEMM (`im2col-indirect`) in both directions —
-//!   "Im2col-Winograd is employed for unit-stride convolution and
-//!   deconvolution, while other algorithms handle the non-unit-stride
-//!   cases".
+//! * [`Backend::ImcolWinograd`] — the engine's §5.7 heuristic
+//!   ([`iwino_engine::Engine::heuristic_choice`]): unit-stride convolutions
+//!   over at most 64 input channels run the paper's fused kernels and the
+//!   backward-data pass the fused-rotation deconvolution; non-unit-stride
+//!   and wider shapes run the indirect-convolution GEMM (`im2col-indirect`)
+//!   in both directions — the paper's "other algorithms handle the
+//!   non-unit-stride cases", with the measured CPU frontier moving the
+//!   wide-channel layers to the GEMM side as well.
 //! * [`Backend::Gemm`] — forces the `im2col-gemm-nhwc` registry backend:
 //!   the "PyTorch" control arm of Experiment 3. Its backward-data runs
 //!   through `im2col-indirect`.
@@ -141,11 +142,6 @@ impl Conv2d {
             });
         }
         self.epilogue.as_ref().unwrap()
-    }
-
-    /// Whether this layer's forward runs the Winograd kernels.
-    pub fn uses_winograd(&self) -> bool {
-        self.backend == Backend::ImcolWinograd && self.stride == 1
     }
 
     /// The engine handle driving this layer's dispatch (selection policy +
@@ -283,10 +279,20 @@ mod tests {
 
     #[test]
     fn strided_conv_falls_back_to_gemm() {
-        let c = Conv2d::new(4, 8, 3, 2, 1, false, Backend::ImcolWinograd, 1);
-        assert!(!c.uses_winograd());
-        let c = Conv2d::new(4, 8, 3, 1, 1, false, Backend::ImcolWinograd, 1);
-        assert!(c.uses_winograd());
+        // The engine answers which backend a layer's forward runs, on the
+        // shape the layer induces.
+        let runs = |c: &Conv2d| {
+            Engine::global()
+                .resolve(&c.engine_handle().policy, &c.serving_shape(1, 8, 8))
+                .unwrap()
+                .name()
+        };
+        let strided = Conv2d::new(4, 8, 3, 2, 1, false, Backend::ImcolWinograd, 1);
+        assert_eq!(runs(&strided), "im2col-indirect");
+        let unit = Conv2d::new(4, 8, 3, 1, 1, false, Backend::ImcolWinograd, 1);
+        assert_eq!(runs(&unit), "im2col-winograd");
+        let wide = Conv2d::new(128, 128, 3, 1, 1, false, Backend::ImcolWinograd, 1);
+        assert_eq!(runs(&wide), "im2col-indirect");
     }
 
     #[test]
